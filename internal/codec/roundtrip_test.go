@@ -153,12 +153,12 @@ func TestRoundTripGolden(t *testing.T) {
 }
 
 // TestRoundTripGoldenTier2Configs holds the committed goldens under
-// every tier-2 configuration: forced hot (every superblock promotes on
-// its first entry, for both the native and the closure backend) and
-// forced off. Output bytes AND the uop count must match the golden
-// exactly in all three — the compiled tier executes the same micro-ops
-// with the same accounting as the tier-1 dispatch loop, so the tier
-// split is invisible in every architectural observation.
+// every tier-2 configuration: forced hot (every superblock promotes to
+// the native JIT on its first entry) and forced off. Output bytes AND
+// the uop count must match the golden exactly in both — the compiled
+// tier executes the same micro-ops with the same accounting as the
+// tier-1 dispatch loop, so the tier split is invisible in every
+// architectural observation.
 func TestRoundTripGoldenTier2Configs(t *testing.T) {
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
@@ -174,7 +174,6 @@ func TestRoundTripGoldenTier2Configs(t *testing.T) {
 		env  map[string]string
 	}{
 		{"tier2-hot", map[string]string{"VXA_TIER2_HOT": "1"}},
-		{"tier2-hot-closure", map[string]string{"VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": "closure"}},
 		{"tier2-off", map[string]string{"VXA_NO_TIER2": "1"}},
 	}
 	for _, leg := range legs {

@@ -1,11 +1,11 @@
 package tier2
 
 // execBuf owns one executable code mapping for a native trace. The
-// platform-specific backend (native_amd64.go) allocates and seals it;
-// on platforms without a native backend it is never instantiated. The
-// Trace keeps the pointer so the mapping outlives every shim closure
-// that can jump into it; a finalizer returns it to the kernel when the
-// trace (and with it the owning superblock) becomes unreachable.
+// platform-specific emitter (native_amd64.go) allocates and seals it;
+// on platforms without an emitter it is never instantiated. The Trace
+// keeps the pointer so the mapping outlives the head shim that jumps
+// into it; a finalizer returns it to the kernel when the trace (and
+// with it the owning superblock) becomes unreachable.
 type execBuf struct {
 	buf []byte
 }

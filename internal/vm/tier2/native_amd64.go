@@ -9,15 +9,14 @@ import (
 	"vxa/internal/x86"
 )
 
-// The native backend emits one superblock trace as flat amd64 machine
-// code: every micro-op becomes the handful of host instructions its
-// closure body compiles to in spirit, minus the call/return and
-// capture-environment traffic that makes the closure backend slower
-// than tier-1 dispatch. Guest 32-bit values ride in host 32-bit
-// registers (writes zero-extend, so address arithmetic is mod 2^32 for
-// free), the lazy-flag record lives in the Machine exactly as for the
-// closure backend, and every exit returns the same 1-based status into
-// the same Exit table — the glue cannot tell the backends apart.
+// The emitter turns one superblock trace into flat amd64 machine code:
+// every micro-op becomes the handful of host instructions its tier-1
+// handler (uexec.go) performs, with operands resolved at compile time
+// instead of re-decoded per step. Guest 32-bit values ride in host
+// 32-bit registers (writes zero-extend, so address arithmetic is mod
+// 2^32 for free), the lazy-flag record lives in the Machine in the
+// VM's own representation, and every exit returns a 1-based status
+// into the trace's static Exit table.
 //
 // Within the jitcall convention (DI = *Machine, SI = guest memory base,
 // status out in AX) the emitter uses AX/CX/DX/R8/R9 as scratch with a
@@ -25,7 +24,7 @@ import (
 // checks clobber AX only, and multi-step micro-ops keep values that
 // must survive a bounds check in R8/R9.
 //
-// The emitted prologue runs Run's own accounting loop: per iteration it
+// The emitted prologue runs the per-iteration accounting loop: it
 // bumps Iters, charges Cost against Fuel (and Credit when armed), and
 // the loop-back exit re-enters the top only while fuel and credit last
 // — so a hot guest loop spins entirely inside one jitcall, and
@@ -39,7 +38,9 @@ import (
 // condition; everything else unsupported fails compilation and leaves
 // the superblock on tier-1.
 
-const nativeAvailable = true
+// Available reports that this platform has the native emitter, so
+// Compile can produce tier-2 traces.
+const Available = true
 
 // minus4 is the stack-push displacement as a wrapped uint32 (32-bit lea
 // arithmetic is mod 2^32, exactly the guest's ESP-4).
@@ -72,7 +73,7 @@ var (
 
 	// Flags record sub-fields. A dword store at offFlOp covers Op,
 	// KeptCF and the two pad bytes — the whole-struct-assignment
-	// equivalent of the closure bodies' m.Fl = uop.Flags{...}.
+	// equivalent of uexec.go's v.fl = uop.Flags{...}.
 	offFlOp  = offFl + int32(unsafe.Offsetof(zm.Fl.Op))
 	offFlA   = offFl + int32(unsafe.Offsetof(zm.Fl.A))
 	offFlB   = offFl + int32(unsafe.Offsetof(zm.Fl.B))
@@ -183,7 +184,7 @@ func nativeCompile(us []uop.Uop, entry uint32, m *Machine, t *Trace) bool {
 	a := &e.a
 
 	// Prologue: pin the guest memory base, then the per-iteration
-	// accounting Run applies around the closure backend.
+	// accounting (Iters, Fuel, Credit).
 	a.loadM64(hSI, offMem)
 	e.top = a.here()
 	a.incM64(offIters)
@@ -209,10 +210,10 @@ func nativeCompile(us []uop.Uop, entry uint32, m *Machine, t *Trace) bool {
 	if eb == nil {
 		return false
 	}
-	t.native, t.code = true, eb
+	t.code = eb
 	t.NeedFlags = e.usedEntry
 	code := uintptr(unsafe.Pointer(&eb.buf[0]))
-	t.head = func() int32 { return jitcall(code, m) }
+	t.head = func(m *Machine) int32 { return jitcall(code, m) }
 	for i := range t.Exits {
 		if t.Exits[i].Loop {
 			t.Loop = true
@@ -221,7 +222,7 @@ func nativeCompile(us []uop.Uop, entry uint32, m *Machine, t *Trace) bool {
 	return true
 }
 
-// ---- exit-table helpers (mirror comp's) ---------------------------------
+// ---- exit-table helpers -------------------------------------------------
 
 func (e *nemit) exit(x Exit) int32 {
 	e.t.Exits = append(e.t.Exits, x)
@@ -408,7 +409,7 @@ func (e *nemit) recSZP(resReg int) {
 // ---- generic ALU bodies -------------------------------------------------
 
 // alu32 emits res(R8) = EAX op b (b in bReg, or bImm when bReg < 0),
-// recording flags when rec, mirroring Machine.ualu. Returns (wb, ok);
+// recording flags when rec, mirroring VM.ualu. Returns (wb, ok);
 // ok is false for ADC/SBB, which need lazy-CF materialization.
 func (e *nemit) alu32(op uop.AluOp, bReg int, bImm uint32, rec bool) (bool, bool) {
 	a := &e.a
@@ -1157,7 +1158,7 @@ func (e *nemit) one(i int) bool {
 		}
 		e.insByte(dsh, pd)
 	case uop.KindSetccM8:
-		// Condition first (mirrors the closure), then the address:
+		// Condition first (mirrors uexec.go), then the address:
 		// addr clobbers CX/DX, so the value parks in R9.
 		if !e.flagsCond(cc, hR9, hR8) {
 			return false
@@ -1351,7 +1352,7 @@ func (e *nemit) one(i int) bool {
 		a.loadG(hR8, hCX, 4, false) // a = popped value
 		a.leaD(hDX, hCX, 4)
 		a.storeM(rESP, hDX)
-		a.loadM(hDX, pa) // b = *pa, re-read as the closure does
+		a.loadM(hDX, pa) // b = *pa, re-read after the pop as uexec.go does
 		a.movRR(hR9, hR8)
 		var fo uop.FlagOp
 		switch aluOp {

@@ -1,3 +1,5 @@
+//go:build amd64 && linux
+
 package tier2
 
 import (
@@ -7,10 +9,10 @@ import (
 	"vxa/internal/x86"
 )
 
-// Static lazy-flag tracking for the native backend.
+// Static lazy-flag tracking for the native emitter.
 //
-// The closure backend materializes EFLAGS bits on demand by inspecting
-// Fl.Op at run time. The native backend instead tracks the flag
+// The tier-1 engine (uexec.go) materializes EFLAGS bits on demand by
+// inspecting Fl.Op at run time. The emitter instead tracks the flag
 // representation at COMPILE time: emission walks the trace linearly, so
 // at any micro-op the last unconditional flag writer earlier in the
 // trace is known statically, and the materialization sequence for
@@ -24,8 +26,8 @@ import (
 // skips its record when the masked count is zero) leaves the state
 // unknown (flUnknown) and makes later consumers bail back to tier-1.
 //
-// Every sequence below mirrors a formula in uop/flags.go or a Machine
-// accessor; none relies on host flag bits that x86 leaves undefined
+// Every sequence below mirrors a formula in uop/flags.go or a VM flag
+// accessor in uexec.go; none relies on host flag bits that x86 leaves undefined
 // (shift OF, for one, is computed from the record, not replayed).
 
 const (
@@ -76,7 +78,7 @@ func (e *nemit) matAll() {
 }
 
 // cfValue leaves the guest CF as 0 or 1 in dst, mirroring
-// Machine.fCF for the statically-known record e.flOp (which must not
+// VM.fCF for the statically-known record e.flOp (which must not
 // be flUnknown). Clobbers CX, DX and the host flags; dst must be
 // neither of those.
 func (e *nemit) cfValue(dst int) {
@@ -254,7 +256,7 @@ func (e *nemit) ofValue(dst int) {
 }
 
 // flagsCond leaves the condition cc as 0 or 1 in dst, mirroring
-// Machine.ucond against the statically-known flag state. sc is a
+// VM.ucond against the statically-known flag state. sc is a
 // second scratch register that must survive the per-flag sequences
 // (R8 or R9). Returns false when the flag state is unknown here and
 // the trace must stay on tier-1.

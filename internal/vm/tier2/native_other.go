@@ -4,10 +4,8 @@ package tier2
 
 import "vxa/internal/vm/uop"
 
-// Platforms without a native emitter: tier-2 stays off by default (the
-// closure backend is a portable semantic reference, not a speedup over
-// the tier-1 dispatch loop) and is selectable with
-// VXA_TIER2_BACKEND=closure for the differential test wall.
-const nativeAvailable = false
+// Platforms without a native emitter have no tier 2: Compile always
+// returns nil, and every superblock runs on the tier-1 dispatch loop.
+const Available = false
 
 func nativeCompile(us []uop.Uop, entry uint32, m *Machine, t *Trace) bool { return false }

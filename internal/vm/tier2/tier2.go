@@ -1,39 +1,35 @@
-// Package tier2 is the VM's second execution tier: it fuses an
+// Package tier2 is the VM's second execution tier: it compiles an
 // already-formed, already-optimized superblock trace (internal/vm's
-// superblock.go) into a single flat sequence of Go closures compiled
-// per-VM against that VM's own machine state.
+// superblock.go) into native amd64 machine code bound to one VM's own
+// machine state.
 //
 // Where the tier-1 engine re-dispatches a giant switch per micro-op —
 // re-loading operand fields and bounds-checking register indices every
-// step — a tier-2 trace bakes every operand into closure captures at
-// compile time: register operands become direct pointers into the
-// machine's register file, immediates and effective-address shapes
-// become Go constants, and each closure body is small enough for the
-// compiler to register-allocate well (the tier-1 dispatch loop is far
-// past the inlining/regalloc thresholds). Control flow inside a trace
-// is straight-line by construction, so execution is a single pass over
-// the closure array; guards either fall through (the profiled hot path)
-// or return a nonzero exit status indexing a static Exit descriptor.
+// step — a tier-2 trace resolves every operand at compile time:
+// register operands become fixed displacements into the Machine's
+// register file, immediates and effective-address shapes become
+// instruction constants, and the lazy-flag record's materialization is
+// specialized to the flag writer statically known at each consumer.
+// Control flow inside a trace is straight-line by construction; guards
+// either fall through (the profiled hot path) or return a nonzero exit
+// status indexing a static Exit descriptor.
 //
-// The tier is semantically invisible. Every closure replicates its
-// tier-1 handler exactly: lazy-flag records, the guard flag-recording
-// rules (base guards record on both paths, NF guards only on exit),
-// spare-field trap EIPs and started-instruction counts for fused pairs,
-// and the per-trace fuel charge with tail refunds applied by the caller
-// on early exits. Traps, guard exits, serialization and Reset all
-// demote cleanly to the tier-1 uop path — the host VM rebuilds traces
-// from persisted superblocks, never serializing closures.
+// The tier is semantically invisible. The emitted code replicates the
+// tier-1 handlers in uexec.go exactly: lazy-flag records, the guard
+// flag-recording rules (base guards record on both paths, NF guards
+// only on exit), spare-field trap EIPs and started-instruction counts
+// for fused pairs, and the per-trace fuel charge with tail refunds
+// applied by the caller on early exits. Traps, guard exits,
+// serialization and Reset all demote cleanly to the tier-1 uop path —
+// the host VM rebuilds traces from persisted superblocks, never
+// serializing machine code. Platforms without the emitter (Available
+// is false) compile nothing and run tier 1.
 package tier2
 
-import (
-	"math/bits"
-
-	"vxa/internal/vm/uop"
-	"vxa/internal/x86"
-)
+import "vxa/internal/vm/uop"
 
 // pageSize mirrors vm.PageSize (the package cannot import vm without a
-// cycle); the sandbox bounds checks below must stay in lockstep with
+// cycle); the emitted sandbox bounds checks must stay in lockstep with
 // vm's rdOK/wrOK.
 const pageSize = 0x1000
 
@@ -45,8 +41,8 @@ const pageSize = 0x1000
 type Machine struct {
 	// Regs mirrors vm.VM.regs: eight architectural registers plus the
 	// always-zero uop.RegZero slot that absent base/index registers
-	// index. Closures capture pointers into this array, so a Machine
-	// must not be copied after compilation.
+	// index. Emitted code addresses it by fixed offset from the Machine
+	// pointer passed on each entry.
 	Regs [9]uint32
 
 	// Lazy-flag state, synced with the VM's representation: the bools
@@ -54,9 +50,10 @@ type Machine struct {
 	Fl                 uop.Flags
 	CF, ZF, SF, OF, PF bool
 
-	// Sandbox geometry. Mem/MemLen/ROLimit/StackBase are captured by
-	// closures at compile time; Brk is read per access (setperm can
-	// grow it between trace executions).
+	// Sandbox geometry. MemLen/ROLimit/StackBase are baked into the
+	// emitted bounds checks at compile time and Mem's base is loaded
+	// once per entry; Brk is read per access (setperm can grow it
+	// between trace executions).
 	Mem                        []byte
 	MemLen, ROLimit, StackBase uint32
 	Brk                        uint32
@@ -77,8 +74,9 @@ type Machine struct {
 	// Steps/UopsExecuted/fuel accounting.
 	Iters uint64
 
-	// FlagsMaterialized accumulates lazily-computed EFLAGS bits during
-	// the current Run, mirroring the tier-1 stat.
+	// FlagsMaterialized counts the EFLAGS bits the emitted code
+	// computes from lazy records during the current Run, mirroring the
+	// tier-1 stat.
 	FlagsMaterialized uint64
 
 	// Exit payload: the faulting address / the divide-vs-overflow and
@@ -130,25 +128,16 @@ type Exit struct {
 	Loop    bool   // End exit whose target is the trace entry (loop back edge)
 }
 
-// Trace is one compiled superblock: the closure program plus its static
+// Trace is one compiled superblock: the machine code plus its static
 // exit table and accounting shape.
 type Trace struct {
-	// head is the trace body: for the closure backend, the first
-	// micro-op's closure with every subsequent micro-op threaded as a
-	// captured continuation; for the native backend, a thin shim into
-	// the emitted machine code. Calling it runs the trace (native code
-	// iterates loop-back edges internally, with the same fuel/credit
-	// accounting Run applies for closures) and returns the 1-based exit
-	// index.
-	head  func() int32
+	// head enters the emitted code. The code iterates loop-back edges
+	// internally, charging Fuel and Credit per iteration, and returns
+	// the 1-based exit index. code pins the executable mapping for the
+	// life of the trace.
+	head  func(*Machine) int32
+	code  *execBuf
 	Exits []Exit
-
-	// native marks a machine-code trace: head runs the whole
-	// iterate-while-fuel-lasts loop itself, so Run must not wrap it in
-	// the closure backend's accounting loop. code pins the executable
-	// mapping for the life of the trace.
-	native bool
-	code   *execBuf
 
 	Entry  uint32 // guest address of the trace entry
 	Cost   int64  // guest instructions per full iteration (fuel units)
@@ -157,417 +146,20 @@ type Trace struct {
 	Rets   int    // return-guard exits
 	Loop   bool   // the trace's end transfer re-enters the trace
 
-	// NeedFlags marks a native trace that consumes the flag state it
-	// was entered with: the caller must materialize the VM's lazy
-	// flags (Fl.Op == FlagNone) before every entry. The native
-	// compiler pins the entry representation statically instead of
-	// dispatching on Fl.Op at run time; its loop back edge preserves
-	// the invariant itself.
+	// NeedFlags marks a trace that consumes the flag state it was
+	// entered with: the caller must materialize the VM's lazy flags
+	// (Fl.Op == FlagNone) before every entry. The emitter pins the
+	// entry representation statically instead of dispatching on Fl.Op
+	// at run time; its loop back edge preserves the invariant itself.
 	NeedFlags bool
 }
 
-// Native reports whether the trace compiled to machine code (versus
-// the closure reference backend) — surfaced in trace-plan dumps.
-func (t *Trace) Native() bool { return t.native }
-
 // Run executes the trace until it exits. The caller must have checked
-// Fuel >= Cost for the first iteration; Run charges Cost per iteration
-// (and Credit, when armed) and keeps iterating internally only on the
-// loop back edge while fuel and the poll credit allow — so a hot loop
-// spins inside one Run call, and cancellation still lands on the
-// interpreter's quantum.
+// Fuel >= Cost for the first iteration; the emitted code charges Cost
+// per iteration (and Credit, when armed) and keeps iterating
+// internally only on the loop back edge while fuel and the poll credit
+// allow — so a hot loop spins inside one Run call, and cancellation
+// still lands on the interpreter's quantum.
 func (t *Trace) Run(m *Machine) *Exit {
-	if t.native {
-		// Native traces charge fuel/credit and iterate internally with
-		// exactly this loop's discipline, emitted into the code.
-		return &t.Exits[t.head()-1]
-	}
-	head := t.head
-	for {
-		m.Iters++
-		m.Fuel -= t.Cost
-		if m.PollArmed {
-			m.Credit -= t.Cost
-		}
-		e := &t.Exits[head()-1]
-		if e.Loop && m.Fuel >= t.Cost && (!m.PollArmed || m.Credit > 0) {
-			continue
-		}
-		return e
-	}
-}
-
-// ---- sandbox access (kept in lockstep with vm's rdOK/wrOK/le32/st32) ----
-
-func (m *Machine) rdOK(addr, size, stackBase, memLen uint32) bool {
-	return (addr >= pageSize && addr <= m.Brk-size) ||
-		(addr >= stackBase && addr <= memLen-size)
-}
-
-func (m *Machine) wrOK(addr, size, roLimit, stackBase, memLen uint32) bool {
-	return (addr >= roLimit && addr <= m.Brk-size) ||
-		(addr >= stackBase && addr <= memLen-size)
-}
-
-// ---- lazy flag access (mirrors vm's f* accessors and ucond) ------------
-
-func (m *Machine) fCF() bool {
-	switch m.Fl.Op {
-	case uop.FlagNone, uop.FlagSZP:
-		return m.CF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.CF()
-}
-
-func (m *Machine) fOF() bool {
-	switch m.Fl.Op {
-	case uop.FlagNone, uop.FlagSZP:
-		return m.OF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.OF()
-}
-
-func (m *Machine) fZF() bool {
-	if m.Fl.Op == uop.FlagNone {
-		return m.ZF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.ZF()
-}
-
-func (m *Machine) fSF() bool {
-	if m.Fl.Op == uop.FlagNone {
-		return m.SF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.SF()
-}
-
-func (m *Machine) fPF() bool {
-	if m.Fl.Op == uop.FlagNone {
-		return m.PF
-	}
-	m.FlagsMaterialized++
-	return m.Fl.PF()
-}
-
-// cond evaluates a condition from the eager bools (Fl.Op == FlagNone).
-func (m *Machine) cond(cc x86.CC) bool {
-	switch cc {
-	case x86.CCO:
-		return m.OF
-	case x86.CCNO:
-		return !m.OF
-	case x86.CCB:
-		return m.CF
-	case x86.CCAE:
-		return !m.CF
-	case x86.CCE:
-		return m.ZF
-	case x86.CCNE:
-		return !m.ZF
-	case x86.CCBE:
-		return m.CF || m.ZF
-	case x86.CCA:
-		return !m.CF && !m.ZF
-	case x86.CCS:
-		return m.SF
-	case x86.CCNS:
-		return !m.SF
-	case x86.CCP:
-		return m.PF
-	case x86.CCNP:
-		return !m.PF
-	case x86.CCL:
-		return m.SF != m.OF
-	case x86.CCGE:
-		return m.SF == m.OF
-	case x86.CCLE:
-		return m.ZF || m.SF != m.OF
-	default: // CCG
-		return !m.ZF && m.SF == m.OF
-	}
-}
-
-// ucond evaluates a condition code against the current flags, lazily
-// materializing only the flags the condition reads.
-func (m *Machine) ucond(cc x86.CC) bool {
-	if m.Fl.Op == uop.FlagNone {
-		return m.cond(cc)
-	}
-	switch cc {
-	case x86.CCO:
-		return m.fOF()
-	case x86.CCNO:
-		return !m.fOF()
-	case x86.CCB:
-		return m.fCF()
-	case x86.CCAE:
-		return !m.fCF()
-	case x86.CCE:
-		return m.fZF()
-	case x86.CCNE:
-		return !m.fZF()
-	case x86.CCBE:
-		return m.fCF() || m.fZF()
-	case x86.CCA:
-		return !m.fCF() && !m.fZF()
-	case x86.CCS:
-		return m.fSF()
-	case x86.CCNS:
-		return !m.fSF()
-	case x86.CCP:
-		return m.fPF()
-	case x86.CCNP:
-		return !m.fPF()
-	case x86.CCL:
-		return m.fSF() != m.fOF()
-	case x86.CCGE:
-		return m.fSF() == m.fOF()
-	case x86.CCLE:
-		return m.fZF() || m.fSF() != m.fOF()
-	default: // CCG
-		return !m.fZF() && m.fSF() == m.fOF()
-	}
-}
-
-// ---- direct condition evaluation (fused compare forms) ------------------
-
-func condSub(cc x86.CC, a, b uint32) bool {
-	switch cc {
-	case x86.CCO:
-		return (a^b)&(a^(a-b))&0x80000000 != 0
-	case x86.CCNO:
-		return (a^b)&(a^(a-b))&0x80000000 == 0
-	case x86.CCB:
-		return a < b
-	case x86.CCAE:
-		return a >= b
-	case x86.CCE:
-		return a == b
-	case x86.CCNE:
-		return a != b
-	case x86.CCBE:
-		return a <= b
-	case x86.CCA:
-		return a > b
-	case x86.CCS:
-		return int32(a-b) < 0
-	case x86.CCNS:
-		return int32(a-b) >= 0
-	case x86.CCP:
-		return bits.OnesCount8(uint8(a-b))%2 == 0
-	case x86.CCNP:
-		return bits.OnesCount8(uint8(a-b))%2 != 0
-	case x86.CCL:
-		return int32(a) < int32(b)
-	case x86.CCGE:
-		return int32(a) >= int32(b)
-	case x86.CCLE:
-		return int32(a) <= int32(b)
-	default: // CCG
-		return int32(a) > int32(b)
-	}
-}
-
-func condLogic(cc x86.CC, res uint32) bool {
-	switch cc {
-	case x86.CCO, x86.CCB:
-		return false
-	case x86.CCNO, x86.CCAE:
-		return true
-	case x86.CCE, x86.CCBE:
-		return res == 0
-	case x86.CCNE, x86.CCA:
-		return res != 0
-	case x86.CCS:
-		return int32(res) < 0
-	case x86.CCNS:
-		return int32(res) >= 0
-	case x86.CCP:
-		return bits.OnesCount8(uint8(res))%2 == 0
-	case x86.CCNP:
-		return bits.OnesCount8(uint8(res))%2 != 0
-	case x86.CCL:
-		return int32(res) < 0
-	case x86.CCGE:
-		return int32(res) >= 0
-	case x86.CCLE:
-		return res == 0 || int32(res) < 0
-	default: // CCG
-		return res != 0 && int32(res) >= 0
-	}
-}
-
-// ---- ALU / multiply / divide helpers (mirror vm's u* helpers) ----------
-
-func (m *Machine) ualu(op uop.AluOp, a, b uint32) (uint32, bool) {
-	switch op {
-	case uop.AluAdd:
-		res := a + b
-		m.Fl = uop.Flags{Op: uop.FlagAdd, A: a, B: b, Res: res}
-		return res, true
-	case uop.AluAdc:
-		var c uint32
-		if m.fCF() {
-			c = 1
-		}
-		res := a + b + c
-		m.Fl = uop.Flags{Op: uop.FlagAdc, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluSub:
-		res := a - b
-		m.Fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: res}
-		return res, true
-	case uop.AluSbb:
-		var c uint32
-		if m.fCF() {
-			c = 1
-		}
-		res := a - b - c
-		m.Fl = uop.Flags{Op: uop.FlagSbb, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluCmp:
-		m.Fl = uop.Flags{Op: uop.FlagSub, A: a, B: b, Res: a - b}
-		return 0, false
-	case uop.AluAnd:
-		res := a & b
-		m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
-		return res, true
-	case uop.AluOr:
-		res := a | b
-		m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
-		return res, true
-	case uop.AluXor:
-		res := a ^ b
-		m.Fl = uop.Flags{Op: uop.FlagLogic, Res: res}
-		return res, true
-	default: // AluTest
-		m.Fl = uop.Flags{Op: uop.FlagLogic, Res: a & b}
-		return 0, false
-	}
-}
-
-func (m *Machine) ualu8(op uop.AluOp, a, b uint32) (uint32, bool) {
-	switch op {
-	case uop.AluAdd:
-		res := (a + b) & 0xFF
-		m.Fl = uop.Flags{Op: uop.FlagAdd8, A: a, B: b, Res: res}
-		return res, true
-	case uop.AluAdc:
-		var c uint32
-		if m.fCF() {
-			c = 1
-		}
-		res := (a + b + c) & 0xFF
-		m.Fl = uop.Flags{Op: uop.FlagAdc8, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluSub:
-		res := (a - b) & 0xFF
-		m.Fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: res}
-		return res, true
-	case uop.AluSbb:
-		var c uint32
-		if m.fCF() {
-			c = 1
-		}
-		res := (a - b - c) & 0xFF
-		m.Fl = uop.Flags{Op: uop.FlagSbb8, A: a, B: b, Cin: c, Res: res}
-		return res, true
-	case uop.AluCmp:
-		m.Fl = uop.Flags{Op: uop.FlagSub8, A: a, B: b, Res: (a - b) & 0xFF}
-		return 0, false
-	case uop.AluAnd:
-		res := a & b
-		m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
-		return res, true
-	case uop.AluOr:
-		res := a | b
-		m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
-		return res, true
-	case uop.AluXor:
-		res := a ^ b
-		m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: res}
-		return res, true
-	default: // AluTest
-		m.Fl = uop.Flags{Op: uop.FlagLogic8, Res: a & b}
-		return 0, false
-	}
-}
-
-// ualuQ is the quiet ALU of the flag-suppressed fused load-op.
-func ualuQ(op uop.AluOp, a, b uint32) (uint32, bool) {
-	switch op {
-	case uop.AluAdd:
-		return a + b, true
-	case uop.AluSub:
-		return a - b, true
-	case uop.AluAnd:
-		return a & b, true
-	case uop.AluOr:
-		return a | b, true
-	case uop.AluXor:
-		return a ^ b, true
-	default:
-		return 0, false
-	}
-}
-
-func (m *Machine) uimul(dst uint8, a, b uint32) {
-	full := int64(int32(a)) * int64(int32(b))
-	res := uint32(full)
-	m.Regs[dst] = res
-	over := full != int64(int32(res))
-	m.CF, m.OF = over, over
-	m.Fl.Op, m.Fl.Res = uop.FlagSZP, res
-}
-
-func (m *Machine) umul1(src uint32, signed bool) {
-	if signed {
-		full := int64(int32(m.Regs[x86.EAX])) * int64(int32(src))
-		m.Regs[x86.EAX] = uint32(full)
-		m.Regs[x86.EDX] = uint32(uint64(full) >> 32)
-		over := full != int64(int32(full))
-		m.CF, m.OF = over, over
-		m.Fl.Op, m.Fl.Res = uop.FlagSZP, uint32(full)
-		return
-	}
-	full := uint64(m.Regs[x86.EAX]) * uint64(src)
-	m.Regs[x86.EAX] = uint32(full)
-	m.Regs[x86.EDX] = uint32(full >> 32)
-	over := m.Regs[x86.EDX] != 0
-	m.CF, m.OF = over, over
-	m.Fl.Op, m.Fl.Res = uop.FlagSZP, uint32(full)
-}
-
-// udiv reports false on a divide fault, with TrapAux 0 for divide by
-// zero and 1 for quotient overflow.
-func (m *Machine) udiv(src uint32, signed bool) bool {
-	if src == 0 {
-		m.TrapAux = 0
-		return false
-	}
-	if signed {
-		dividend := int64(uint64(m.Regs[x86.EDX])<<32 | uint64(m.Regs[x86.EAX]))
-		divisor := int64(int32(src))
-		q := dividend / divisor
-		if q > 0x7FFFFFFF || q < -0x80000000 {
-			m.TrapAux = 1
-			return false
-		}
-		m.Regs[x86.EAX] = uint32(int32(q))
-		m.Regs[x86.EDX] = uint32(int32(dividend % divisor))
-		return true
-	}
-	dividend := uint64(m.Regs[x86.EDX])<<32 | uint64(m.Regs[x86.EAX])
-	q := dividend / uint64(src)
-	if q > 0xFFFFFFFF {
-		m.TrapAux = 1
-		return false
-	}
-	m.Regs[x86.EAX] = uint32(q)
-	m.Regs[x86.EDX] = uint32(dividend % uint64(src))
-	return true
+	return &t.Exits[t.head(m)-1]
 }

@@ -47,12 +47,12 @@ func TestDiffTier2GuardExitTrap(t *testing.T) {
 		env  map[string]string
 	}{
 		{"hot-native", map[string]string{"VXA_TIER2_HOT": "1"}},
-		{"hot-closure", map[string]string{"VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": "closure"}},
 		{"off", map[string]string{"VXA_NO_TIER2": "1"}},
 	}
 	for _, leg := range legs {
 		leg := leg
 		t.Run(leg.name, func(t *testing.T) {
+			skipHotWithoutJIT(t, leg.env)
 			for k, v := range leg.env {
 				t.Setenv(k, v)
 			}

@@ -1,6 +1,6 @@
 package vm
 
-// Tier-2 integration: promotion of hot superblocks into compiled closure
+// Tier-2 integration: promotion of hot superblocks into native-code
 // traces (package tier2) and the exit dispatch that hands control back
 // to the tier-1 engine. The tier is invisible to guest semantics: every
 // exit path below re-joins exactly the code path the tier-1 dispatch
@@ -17,9 +17,9 @@ import (
 )
 
 // t2HotDefault is the number of superblock entries before the trace is
-// fused into a tier-2 closure program. Superblocks themselves form at
+// compiled to tier-2 native code. Superblocks themselves form at
 // sbHotThreshold block entries, so a trace must prove itself on the
-// tier-1 loop first; compilation is cheap (one closure per micro-op)
+// tier-1 loop first; compilation is cheap (one linear emission pass)
 // but profile-teardown churn is not worth compiling for.
 const t2HotDefault = 32
 
@@ -42,9 +42,10 @@ func t2HotThreshold() uint32 {
 	return t2HotDefault
 }
 
-// compileTier2 fuses sb's trace into a compiled closure program bound
-// to this VM's machine view. One attempt per superblock: a bail
-// (reference-engine escapes in the trace) leaves it on tier-1 for good.
+// compileTier2 compiles sb's trace to native code bound to this VM's
+// machine view. One attempt per superblock: a bail (reference-engine
+// escapes or micro-ops the emitter does not handle, or a platform
+// without an emitter) leaves it on tier-1 for good.
 func (v *VM) compileTier2(sb *bref) {
 	sb.t2Tried = true
 	start := time.Now()
@@ -53,7 +54,7 @@ func (v *VM) compileTier2(sb *bref) {
 		m = &tier2.Machine{}
 		v.t2m = m
 	}
-	// Refresh the geometry the compiler captures. Everything here is
+	// Refresh the geometry the compiler bakes in. Everything here is
 	// fixed for the life of the guest address space; any event that
 	// changes it (Reset, snapshot materialization) replaces the bref
 	// graph and with it every compiled trace.
@@ -76,7 +77,7 @@ func (v *VM) compileTier2(sb *bref) {
 // runTier2 executes sb's compiled trace until it exits, then re-joins
 // the tier-1 engine: state is synced through the tier-2 machine view,
 // accounting is applied per full iteration (Run charges fuel itself),
-// and the exit descriptor is dispatched onto the same chain-slot /
+// and t2Exit dispatches the exit descriptor onto the same chain-slot /
 // refund / trap paths the tier-1 handler for the exiting micro-op uses.
 // The caller must have checked v.fuel >= sb.b.cost and counted the
 // entry in sb.sbEntries.
@@ -107,19 +108,26 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 		v.cancelCredit = m.Credit
 	}
 	iters := m.Iters
-	// Tier2Steps is the tier's exact share of Steps: every refund a
-	// mid-trace exit performs below (guard tails via sbLeave, fault
-	// windows via uopTrapN) lands before this function returns, so the
-	// net Steps delta is precisely the instructions the trace retired.
-	defer func(before uint64) {
-		v.stats.Tier2Steps += v.stats.Steps - before
-	}(v.stats.Steps)
+	before := v.stats.Steps
 	v.stats.Steps += iters * uint64(t.Cost)
 	v.stats.UopsExecuted += iters * uint64(t.NUops)
 	v.stats.FlagsMaterialized += m.FlagsMaterialized
 	v.stats.Tier2Executed += iters
 	sb.sbEntries += iters - 1 // the entry that brought us here is already counted
 
+	next, err := v.t2Exit(sb, e)
+	// Tier2Steps is the tier's exact share of Steps: every refund the
+	// exit dispatch performs (guard tails via sbLeave, fault windows via
+	// uopTrapN) has landed, so the net Steps delta is precisely the
+	// instructions the trace retired.
+	v.stats.Tier2Steps += v.stats.Steps - before
+	return next, err
+}
+
+// t2Exit dispatches a trace exit onto the tier-1 engine, reading the
+// dynamic exit payload from the tier-2 machine view.
+func (v *VM) t2Exit(sb *bref, e *tier2.Exit) (*bref, error) {
+	m := v.t2m
 	us := sb.b.uops
 	i := e.Uop
 	u := &us[i]
@@ -145,10 +153,10 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 		}
 		return v.chainTo(&sb.fall, e.Target)
 	case tier2.ExitJccLazy:
-		// Native-backend plain Jcc terminator: the condition reads the
-		// lazily-recorded flags, which have just been synced back, so
-		// the tier-1 evaluator picks the edge (and counts any flag
-		// materialization in the VM's own stat).
+		// Plain Jcc terminator: the condition reads the lazily-recorded
+		// flags, which have just been synced back, so the tier-1
+		// evaluator picks the edge (and counts any flag materialization
+		// in the VM's own stat).
 		if v.ucond(x86.CC(u.Sub)) {
 			sb.takenCnt++
 			v.eip = u.Target

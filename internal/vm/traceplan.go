@@ -22,15 +22,15 @@ type TracePlanUop struct {
 
 // TracePlan describes one formed superblock and what tier-2 made of
 // it: the fused micro-op sequence, the per-trace fuel cost, the guard
-// and return-slot geometry, and which backend (if any) the trace
-// compiled to. This is the inspection surface behind `vxdump -t2`.
+// and return-slot geometry, and whether the trace compiled to native
+// code. This is the inspection surface behind `vxdump -t2`.
 type TracePlan struct {
 	Entry   uint32 // guest entry address
 	Cost    int64  // fuel charged per full trace iteration
 	NUops   int
-	Guards  int // conditional guard exits (chain slots)
-	Rets    int // return guards (inline-cache slots)
-	Backend string
+	Guards  int    // conditional guard exits (chain slots)
+	Rets    int    // return guards (inline-cache slots)
+	Backend string // "native", "tier1" (compilation bailed) or "disabled"
 	Uops    []TracePlanUop
 }
 
@@ -54,10 +54,8 @@ func (v *VM) TracePlans() []TracePlan {
 		switch {
 		case v.noT2 && sb.t2 == nil:
 			backend = "disabled"
-		case sb.t2 != nil && sb.t2.Native():
-			backend = "native"
 		case sb.t2 != nil:
-			backend = "closure"
+			backend = "native"
 		}
 		us := sb.b.uops
 		p := TracePlan{

@@ -938,10 +938,10 @@ func TestSuperblockSnapshotReset(t *testing.T) {
 func TestDiffSoakMultiBlock(t *testing.T) { runDiffSoakMultiBlock(t) }
 
 // TestDiffSoakTier2Forced reruns the multi-block soak with the tier-2
-// engine forced to both extremes: every superblock promoted on first
-// entry (native and closure backends) and the tier disabled outright.
-// The soak's exactness assertions — trap EIP, steps==fuel accounting,
-// registers, flags, memory image — must hold identically in all three,
+// engine forced to both extremes: every superblock promoted to the
+// native JIT on first entry, and the tier disabled outright. The soak's
+// exactness assertions — trap EIP, steps==fuel accounting, registers,
+// flags, memory image — must hold identically in both,
 // which is the wall that keeps compiled traces architecturally
 // indistinguishable from the dispatch loop.
 func TestDiffSoakTier2Forced(t *testing.T) {
@@ -950,17 +950,27 @@ func TestDiffSoakTier2Forced(t *testing.T) {
 		env  map[string]string
 	}{
 		{"hot-native", map[string]string{"VXA_TIER2_HOT": "1"}},
-		{"hot-closure", map[string]string{"VXA_TIER2_HOT": "1", "VXA_TIER2_BACKEND": "closure"}},
 		{"off", map[string]string{"VXA_NO_TIER2": "1"}},
 	}
 	for _, leg := range legs {
 		leg := leg
 		t.Run(leg.name, func(t *testing.T) {
+			skipHotWithoutJIT(t, leg.env)
 			for k, v := range leg.env {
 				t.Setenv(k, v)
 			}
 			runDiffSoakMultiBlock(t)
 		})
+	}
+}
+
+// skipHotWithoutJIT skips a forced-hot leg on platforms without the
+// native tier-2 emitter: there Compile always returns nil, so the leg's
+// "compiled traces actually ran" assertion would fail by construction.
+func skipHotWithoutJIT(t *testing.T, env map[string]string) {
+	t.Helper()
+	if env["VXA_TIER2_HOT"] == "1" && !tier2.Available {
+		t.Skip("no native tier-2 emitter on this platform")
 	}
 }
 
@@ -1015,7 +1025,7 @@ func runDiffSoakMultiBlock(t *testing.T) {
 			// silently stayed on tier-1 would prove nothing. The one
 			// legitimate escape: a seed whose every superblock holds a
 			// micro-op unsupported by design (a KindGeneric/KindString
-			// interpreter escape), which no tier-2 backend compiles.
+			// interpreter escape), which tier 2 never compiles.
 			if os.Getenv("VXA_TIER2_HOT") == "1" && !envNoTier2() &&
 				v1.Stats().Tier2Executed == 0 {
 				for _, br := range v1.blocks {

@@ -156,11 +156,12 @@ type Config struct {
 	// NoSuperblocks disables hot-path superblock formation (per-pass
 	// ablation; see superblock.go).
 	NoSuperblocks bool
-	// NoTier2 disables the tier-2 compiled backend (per-tier ablation;
-	// see internal/vm/tier2): hot superblocks keep executing on the
-	// tier-1 uop dispatch loop instead of being fused into compiled
-	// closure traces. Carried by snapshots like NoSuperblocks. The
-	// VXA_NO_TIER2 environment variable forces it on process-wide.
+	// NoTier2 disables the tier-2 native JIT (per-tier ablation; see
+	// internal/vm/tier2): hot superblocks keep executing on the tier-1
+	// uop dispatch loop instead of being compiled to native code.
+	// Carried by snapshots like NoSuperblocks. The VXA_NO_TIER2
+	// environment variable forces it on process-wide. Platforms without
+	// the emitter (tier2.Available is false) run tier 1 regardless.
 	NoTier2 bool
 
 	// WallBudget is the wall-clock watchdog: the maximum real time one
@@ -185,7 +186,7 @@ type Stats struct {
 	FlagsElided       uint64 `json:"flags_elided"`       // lazy-flag records removed at translate time (dead-flag pass)
 	UopsFused         uint64 `json:"uops_fused"`         // fused micro-ops created at translate time (each replaces 2-3)
 	SuperblocksFormed uint64 `json:"superblocks_formed"` // hot-path superblocks assembled from edge profiles
-	Tier2Compiled     uint64 `json:"tier2_compiled"`     // superblock traces fused into tier-2 closure programs
+	Tier2Compiled     uint64 `json:"tier2_compiled"`     // superblock traces compiled to tier-2 native code
 	Tier2Executed     uint64 `json:"tier2_executed"`     // tier-2 trace iterations run (one full superblock pass each)
 	Tier2Steps        uint64 `json:"tier2_steps"`        // guest instructions retired inside tier-2 traces (subset of Steps)
 	Tier2Demotions    uint64 `json:"tier2_demotions"`    // compiled traces dropped with their superblock (stale profile teardown)
@@ -240,8 +241,8 @@ type VM struct {
 	// compilation (t2HotDefault, overridable via VXA_TIER2_HOT).
 	t2Hot uint32
 	// t2m is this VM's tier-2 machine-state view, allocated on first
-	// compile and never reallocated: compiled closures capture pointers
-	// into it (see tier2.Machine).
+	// compile and reused for every compile and run: traces bake its
+	// sandbox geometry in at compile time (see tier2.Machine).
 	t2m    *tier2.Machine
 	optCfg uop.OptConfig
 	blocks map[uint32]*bref
@@ -321,7 +322,7 @@ type bref struct {
 	sbForms   uint8
 	sbTried   bool
 
-	// Tier-2 dispatch slot (superblock brefs only): the compiled closure
+	// Tier-2 dispatch slot (superblock brefs only): the native-code
 	// trace for this superblock, installed once its entry count crosses
 	// the tier-2 heat threshold. On a superblock bref, heat counts
 	// entries toward that promotion. The trace dies with the bref —
