@@ -137,6 +137,10 @@ func dumpTracePlans(name string, elf []byte) error {
 	if err != nil {
 		return err
 	}
+	// Capture the decoder snapshot as the extraction pipeline does, so
+	// a superblock re-formed identically after a stale-profile teardown
+	// reuses its shared trace here too.
+	v.Snapshot()
 	var out, diag bytes.Buffer
 	if _, err := v.RunStream(context.Background(), bytes.NewReader(enc.Bytes()),
 		&out, &diag, vm.StreamFuel(enc.Len())); err != nil {
@@ -144,8 +148,8 @@ func dumpTracePlans(name string, elf []byte) error {
 	}
 	plans := v.TracePlans()
 	st := v.Stats()
-	fmt.Printf("%s: %d superblocks, %d tier-2 traces compiled, %d demotions\n",
-		name, len(plans), st.Tier2Compiled, st.Tier2Demotions)
+	fmt.Printf("%s: %d superblocks, %d tier-2 traces compiled, %d reused, %d demotions\n",
+		name, len(plans), st.Tier2Compiled, st.Tier2Reused, st.Tier2Demotions)
 	for _, p := range plans {
 		fmt.Printf("\ntrace %08x: backend=%s cost=%d uops=%d guards=%d rets=%d\n",
 			p.Entry, p.Backend, p.Cost, p.NUops, p.Guards, p.Rets)

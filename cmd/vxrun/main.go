@@ -154,13 +154,7 @@ func main() {
 			fmt.Fprintf(os.Stderr,
 				"vxrun: optimizer: %d uops fused, %d flag records elided, %d superblocks formed\n",
 				st.UopsFused, st.FlagsElided, st.SuperblocksFormed)
-			t2share := 0.0
-			if st.Steps > 0 {
-				t2share = 100 * float64(st.Tier2Steps) / float64(st.Steps)
-			}
-			fmt.Fprintf(os.Stderr,
-				"vxrun: tier2: %d traces compiled, %d trace runs, %d demotions, %.1f%% of steps\n",
-				st.Tier2Compiled, st.Tier2Executed, st.Tier2Demotions, t2share)
+			printTier2(st)
 		}
 		return
 	}
@@ -203,10 +197,24 @@ func main() {
 		st := pool.Stats()
 		fmt.Fprintf(os.Stderr, "vxrun: %d files, %d workers; pool: %d snapshot, %d built, %d resumed\n",
 			len(args), workers, st.Snapshots, st.Builds, st.Resumes)
+		printTier2(pool.VMStats())
 	}
 	if worst != exitOK {
 		os.Exit(worst)
 	}
+}
+
+// printTier2 prints the -v tier-2 line: traces compiled here, traces
+// installed from a decoder snapshot without compiling, trace runs,
+// demotions, and tier 2's share of guest steps.
+func printTier2(st vm.Stats) {
+	t2share := 0.0
+	if st.Steps > 0 {
+		t2share = 100 * float64(st.Tier2Steps) / float64(st.Steps)
+	}
+	fmt.Fprintf(os.Stderr,
+		"vxrun: tier2: %d traces compiled, %d reused, %d trace runs, %d demotions, %.1f%% of steps\n",
+		st.Tier2Compiled, st.Tier2Reused, st.Tier2Executed, st.Tier2Demotions, t2share)
 }
 
 // decodeFile runs one input file through a leased decoder VM, streaming

@@ -178,6 +178,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 			"vxad_engine_tier2_compiled_total",
 			"vxad_engine_tier2_executed_total",
 			"vxad_engine_tier2_demotions_total",
+			"vxad_engine_tier2_reused_total",
 		} {
 			if !strings.Contains(text, want) {
 				t.Errorf("%s: missing %q in exposition", mode.name, want)

@@ -776,6 +776,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("vxad_engine_tier2_compiled_total", "Superblock traces fused into tier-2 compiled programs.", nil, float64(engine.Tier2Compiled))
 	p.Counter("vxad_engine_tier2_executed_total", "Tier-2 trace iterations run (one full superblock pass each).", nil, float64(engine.Tier2Executed))
 	p.Counter("vxad_engine_tier2_demotions_total", "Compiled tier-2 traces dropped with their superblock.", nil, float64(engine.Tier2Demotions))
+	p.Counter("vxad_engine_tier2_reused_total", "Shared tier-2 traces installed from a decoder snapshot instead of compiled.", nil, float64(engine.Tier2Reused))
 	p.Counter("vxad_engine_tier2_steps_total", "Guest instructions retired inside tier-2 traces.", nil, float64(engine.Tier2Steps))
 	p.Counter("vxad_engine_translate_seconds_total", "Wall time spent translating guest code.", nil, float64(engine.TranslateNS)/1e9)
 	p.Counter("vxad_engine_syscalls_total", "Guest syscalls serviced.", nil, float64(engine.Syscalls))

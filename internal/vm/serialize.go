@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"vxa/internal/vm/tier2"
 	"vxa/internal/vm/uop"
 	"vxa/internal/x86"
 )
@@ -25,8 +26,9 @@ import (
 //
 // History: 2 added the absorbed-superblock section after the block
 // section. 3 added the NoTier2 policy bit to the header; tier-2
-// compiled traces themselves are never serialized — they are rebuilt
-// per-VM from the persisted superblocks once those re-prove hot.
+// compiled traces themselves are never serialized — the loading
+// process recompiles them from the persisted superblocks once those
+// re-prove hot, and shares them through the loaded snapshot.
 const EngineVersion uint32 = 3
 
 // snapMagic brands a serialized snapshot payload.
@@ -425,6 +427,7 @@ func Deserialize(data []byte) (*Snapshot, error) {
 		return nil, c.err
 	}
 	s.sbs = make(map[uint32]*sbRecord, nSBs)
+	s.t2 = make(map[*block]*tier2.Trace)
 	if nSBs > 0 {
 		// Escape payloads re-link by instruction address against the
 		// block section just decoded.
@@ -484,7 +487,36 @@ func decodeBlock(c *decCursor, s *Snapshot) (uint32, *block, error) {
 	if addr < PageSize || b.end < addr || b.end > s.roLimit {
 		return 0, nil, fmt.Errorf("vm: snapshot decode: block [%#x,%#x) outside the read-only window", addr, b.end)
 	}
+	// Fuel is charged by block cost, so a cost the instructions do not
+	// account for would let a crafted block run without using up fuel.
+	if b.cost != int64(nInsts) || uop.Cost(b.uops) != b.cost {
+		return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x cost %d does not match its %d instructions", addr, b.cost, nInsts)
+	}
+	if !imageInsts(s, addr, b) {
+		return 0, nil, fmt.Errorf("vm: snapshot decode: block %#x does not decode from the image", addr)
+	}
 	return addr, b, nil
+}
+
+// imageInsts reports whether b's instructions are exactly what
+// buildBlock decodes from the snapshot's pristine image at addr:
+// contiguous, ending at b.end, with a block-ending instruction only in
+// the last place. The executor re-lowers them (superblock formation)
+// and the reference engine runs them, so they must be as trustworthy as
+// a fresh decode, not merely well-formed.
+func imageInsts(s *Snapshot, addr uint32, b *block) bool {
+	cur := addr
+	for i := range b.insts {
+		if b.addrs[i] != cur || cur >= s.roLimit {
+			return false
+		}
+		in, err := x86.Decode(s.low[cur:min(cur+15, s.brk)])
+		if err != nil || in != b.insts[i] || (endsBlock(in.Op) && i != len(b.insts)-1) {
+			return false
+		}
+		cur += uint32(in.Len)
+	}
+	return cur == b.end
 }
 
 // decodeSB reconstructs one absorbed superblock. Structural defenses
@@ -514,6 +546,9 @@ func decodeSB(c *decCursor, s *Snapshot, eips map[uint32]*x86.Inst) (uint32, *sb
 	}
 	if c.err != nil {
 		return 0, nil, c.err
+	}
+	if b.cost == 0 || uop.Cost(b.uops) != b.cost {
+		return 0, nil, fmt.Errorf("vm: snapshot decode: superblock %#x cost %d does not match its micro-ops", addr, b.cost)
 	}
 	guards, rets := sbNumberSlots(b.uops)
 	if _, ok := s.blocks[addr]; !ok {

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -132,5 +133,58 @@ func TestDeserializeRejects(t *testing.T) {
 	nInsts := int(le.Uint16(data[blockOff+16:]))
 	uopOff := blockOff + 20 + nInsts*(instWireLen+4)
 	corrupt("uop kind out of range", func(d []byte) { d[uopOff] = 0xff })
+	// A block that charges no fuel would run forever: its cost must be
+	// its instruction count. Block header: addr, end, cost (u64).
+	corrupt("block cost zero", func(d []byte) { le.PutUint64(d[blockOff+8:], 0) })
+	corrupt("block cost inflated", func(d []byte) { le.PutUint64(d[blockOff+8:], le.Uint64(d[blockOff+8:])+1) })
 	corrupt("uop register out of range", func(d []byte) { d[uopOff+2] = 0x7f })
+	// Instructions are re-lowered by superblock formation and run by the
+	// reference engine, so they must decode from the image. A fuzzed
+	// payload with an out-of-range register in the first instruction's
+	// destination (inst header 8 bytes, then the Dst arg: kind, reg)
+	// once panicked the executor.
+	instOff := blockOff + 20
+	corrupt("inst register out of range", func(d []byte) { d[instOff+9] = 0xe2 })
+	corrupt("inst length", func(d []byte) { d[instOff+3]++ })
+	corrupt("inst address", func(d []byte) {
+		le.PutUint32(d[instOff+nInsts*instWireLen:], le.Uint32(d[instOff+nInsts*instWireLen:])+1)
+	})
+}
+
+// TestDeserializeRejectsSBCost: a superblock's cost must be the sum of
+// its micro-ops' costs. Zero would let a crafted trace loop without
+// using up fuel.
+func TestDeserializeRejectsSBCost(t *testing.T) {
+	rng := rand.New(rand.NewSource(101))
+	image := make([]byte, soakSpan)
+	soakBuildProgram(t, rng, image)
+	ref := soakVM(t, image)
+	soakSeedRegs(rng, ref)
+	snap := soakSharedVM(t, image, ref).snap
+	data, err := snap.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Deserialize(data); err != nil {
+		t.Fatal(err)
+	}
+	// Skip the block section to the superblock count, then the first
+	// superblock's addr and end to its cost (u64).
+	le := binary.LittleEndian
+	off := snapHeaderLen + int(le.Uint32(data[80:])) + int(le.Uint32(data[84:]))
+	for i := uint32(0); i < le.Uint32(data[88:]); i++ {
+		n, u := int(le.Uint16(data[off+16:])), int(le.Uint16(data[off+18:]))
+		off += 20 + n*(instWireLen+4) + u*uopWireLen
+	}
+	if le.Uint32(data[off:]) == 0 {
+		t.Fatal("snapshot has no superblock")
+	}
+	costOff := off + 4 + 8
+	for name, cost := range map[string]uint64{"zero": 0, "inflated": le.Uint64(data[costOff:]) + 1} {
+		d := append([]byte(nil), data...)
+		le.PutUint64(d[costOff:], cost)
+		if _, err := Deserialize(d); err == nil {
+			t.Errorf("superblock cost %s: corrupted payload decoded cleanly", name)
+		}
+	}
 }

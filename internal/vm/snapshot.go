@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"vxa/internal/vm/tier2"
 	"vxa/internal/vm/uop"
 	"vxa/internal/x86"
 )
@@ -18,8 +19,9 @@ import (
 // instead of re-parsing the executable each time.
 //
 // A Snapshot is safe for concurrent use: many goroutines may NewVM/Reset
-// from the same snapshot at once. Decoded blocks are immutable after
-// construction, so they are shared, never copied.
+// from the same snapshot at once. Decoded blocks and compiled tier-2
+// traces are immutable after construction, so they are shared, never
+// copied.
 type Snapshot struct {
 	memSize uint32
 
@@ -52,7 +54,24 @@ type Snapshot struct {
 	// already cached. Each record keeps the guard/return slot counts so
 	// materialization can size the per-VM chain arrays without rescanning.
 	sbs map[uint32]*sbRecord
+	// t2 holds the shared tier-2 code: compiled traces of superblock
+	// fragments whose every micro-op comes from the pristine read-only
+	// window, keyed by fragment — the absorbed superblocks' and variants
+	// re-formed after a stale-profile teardown (at most sbMaxShared per
+	// entry address). The sandbox geometry a trace bakes in is the
+	// snapshot's, so one compilation serves every VM the snapshot
+	// materializes; a VM that forms a superblock identical to a shared
+	// fragment adopts it and its trace instead of compiling. Each VM
+	// keeps its own chain slots, inline caches and profile. Traces are
+	// never exported or serialized (the geometry is baked into the
+	// code).
+	t2 map[*block]*tier2.Trace
 }
+
+// sbMaxShared bounds the superblock variants per entry address that
+// share a trace through the snapshot: the absorbed one plus one per
+// re-formation a single VM may make. Variants past it compile per VM.
+const sbMaxShared = sbMaxReforms + 1
 
 // sbRecord is one absorbed superblock: the shared immutable fragment
 // plus the chain-slot geometry every per-VM wrapper needs.
@@ -86,10 +105,12 @@ func (v *VM) Snapshot() *Snapshot {
 		wallBudget: v.wallBudget,
 		blocks:     make(map[uint32]*block, len(v.blocks)),
 		sbs:        make(map[uint32]*sbRecord),
+		t2:         make(map[*block]*tier2.Trace),
 	}
 	for addr, br := range v.blocks {
 		s.blocks[addr] = br.b
 	}
+	v.snap = s
 	return s
 }
 
@@ -106,11 +127,14 @@ func (s *Snapshot) MemSize() uint32 { return s.memSize }
 // empty guard chains and a clean entry/exit profile: the receiving VM
 // starts on the optimized traces immediately but still re-validates the
 // profile with its own counters, so a stale trace tears down and
-// re-forms exactly as if this VM had built it.
-func (s *Snapshot) blockMap() map[uint32]*bref {
+// re-forms exactly as if this VM had built it. When v runs tier 2, a
+// superblock whose trace the snapshot holds gets it installed as well,
+// so the VM enters tier 2 on the first entry without compiling.
+func (s *Snapshot) blockMap(v *VM) map[uint32]*bref {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := make(map[uint32]*bref, len(s.blocks))
+	t2 := s.t2OK(v)
 	for addr, b := range s.blocks {
 		br := &bref{b: b}
 		if r, ok := s.sbs[addr]; ok && !s.noSB && !s.noCache {
@@ -120,6 +144,9 @@ func (s *Snapshot) blockMap() map[uint32]*bref {
 				sbChains: make([]*bref, r.guards),
 				sbInd:    make([]sbIndEntry, r.rets),
 				sbTried:  true,
+			}
+			if t := s.t2[r.b]; t != nil && t2 {
+				br.sb.t2, br.sb.t2Tried, br.sb.t2Shared = t, true, true
 			}
 			br.sbTried = true
 		}
@@ -180,7 +207,13 @@ func (s *Snapshot) restore(v *VM) {
 	v.optCfg = s.optCfg
 	v.wallBudget = s.wallBudget
 	v.wallDeadline = 0
-	v.blocks = s.blockMap()
+	v.blocks = s.blockMap(v)
+	v.snap = s
+	if !v.noT2 {
+		// Shared traces may run before this VM compiles anything, so
+		// its machine view must carry the guest memory base now.
+		v.t2Machine()
+	}
 	v.exitCode = 0
 	v.Stdin, v.Stdout, v.Stderr = nil, nil, nil
 }
@@ -195,7 +228,9 @@ func (s *Snapshot) restore(v *VM) {
 // instruction a trace re-translates must come from the pristine
 // read-only window — so sibling VMs (and, via Serialize, sibling
 // processes) skip the per-trace lowering and optimizer passes that
-// otherwise dominate a fresh VM's first stream.
+// otherwise dominate a fresh VM's first stream. The tier-2 trace the VM
+// compiled for an absorbed superblock is published with it, so every
+// later VM enters tier 2 on the first entry without compiling.
 func (s *Snapshot) AbsorbBlocks(v *VM) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -215,15 +250,102 @@ func (s *Snapshot) AbsorbBlocks(v *VM) {
 		if sb == nil {
 			continue
 		}
-		if _, ok := s.sbs[addr]; ok {
-			continue
+		r, ok := s.sbs[addr]
+		if !ok {
+			// The entry block must itself be absorbed, and the whole
+			// trace must execute read-only pristine bytes.
+			if _, ok := s.blocks[addr]; !ok || !sbInRO(sb.b, s.roLimit) {
+				continue
+			}
+			r = &sbRecord{b: s.canonLocked(sb.b), guards: len(sb.sbChains), rets: len(sb.sbInd)}
+			s.sbs[addr] = r
 		}
-		// The entry block must itself be absorbed, and the whole trace
-		// must execute read-only pristine bytes.
-		if _, ok := s.blocks[addr]; !ok || !sbInRO(sb.b, s.roLimit) {
-			continue
+		if sb.t2 != nil && sameFragment(sb.b, r.b) {
+			s.publishLocked(v, r.b, sb.t2)
 		}
-		s.sbs[addr] = &sbRecord{b: sb.b, guards: len(sb.sbChains), rets: len(sb.sbInd)}
+	}
+}
+
+// t2OK reports whether v may run and publish the snapshot's traces: it
+// runs tier 2 and its sandbox geometry is the one the traces bake in.
+func (s *Snapshot) t2OK(v *VM) bool {
+	return !v.noT2 && uint32(len(v.mem)) == s.memSize &&
+		v.roLimit == s.roLimit && v.stackBase == s.stackBase
+}
+
+// sameFragment reports whether two superblock fragments are identical
+// micro-op for micro-op, and so compile to the same trace.
+func sameFragment(a, b *block) bool {
+	if a == b {
+		return true
+	}
+	if a.cost != b.cost || a.end != b.end || len(a.uops) != len(b.uops) {
+		return false
+	}
+	for i := range a.uops {
+		if a.uops[i] != b.uops[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// canonLocked returns the snapshot's fragment identical to superblock
+// fragment b — the absorbed one at its entry, or one with a shared
+// trace — or b itself. Caller holds s.mu.
+func (s *Snapshot) canonLocked(b *block) *block {
+	entry := b.uops[0].EIP
+	if r := s.sbs[entry]; r != nil && sameFragment(r.b, b) {
+		return r.b
+	}
+	for f := range s.t2 {
+		if f.uops[0].EIP == entry && sameFragment(f, b) {
+			return f
+		}
+	}
+	return b
+}
+
+// shareSB returns the snapshot's fragment identical to superblock
+// fragment b, or b itself, together with that fragment's shared trace
+// when v may run it.
+func (s *Snapshot) shareSB(v *VM, b *block) (*block, *tier2.Trace) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b = s.canonLocked(b)
+	if !s.t2OK(v) {
+		return b, nil
+	}
+	return b, s.t2[b]
+}
+
+// publishTrace makes t, compiled by v for superblock fragment b, the
+// snapshot's shared trace for that fragment, provided v's geometry is
+// the snapshot's and b executes only pristine read-only bytes — the two
+// facts that make the code valid for every VM the snapshot
+// materializes. A trace already published for the fragment wins.
+func (s *Snapshot) publishTrace(v *VM, b *block, t *tier2.Trace) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.publishLocked(v, b, t)
+}
+
+func (s *Snapshot) publishLocked(v *VM, b *block, t *tier2.Trace) {
+	if !s.t2OK(v) || !sbInRO(b, s.roLimit) {
+		return
+	}
+	b = s.canonLocked(b)
+	if s.t2[b] != nil {
+		return
+	}
+	variants := 0
+	for f := range s.t2 {
+		if f.uops[0].EIP == b.uops[0].EIP {
+			variants++
+		}
+	}
+	if variants < sbMaxShared {
+		s.t2[b] = t
 	}
 }
 
@@ -256,20 +378,31 @@ func (s *Snapshot) SBCount() int {
 	return len(s.sbs)
 }
 
-// DropSuperblocks discards the snapshot's absorbed superblocks, so
-// subsequent NewVM/Reset materializations profile and form their own —
-// the ablation hook for measuring what absorbed traces are worth.
+// TraceCount reports how many shared tier-2 traces the snapshot holds.
+func (s *Snapshot) TraceCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.t2)
+}
+
+// DropSuperblocks discards the snapshot's absorbed superblocks and their
+// shared tier-2 traces, so subsequent NewVM/Reset materializations
+// profile, form and compile their own — the ablation hook for measuring
+// what absorbed traces are worth.
 func (s *Snapshot) DropSuperblocks() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sbs = make(map[uint32]*sbRecord)
+	s.t2 = make(map[*block]*tier2.Trace)
 }
 
 // Footprint estimates the resident bytes a snapshot pins: the stored
-// memory image plus the translated block cache. It is the accounting
-// unit for content-addressed snapshot caches with a byte budget. Blocks
-// absorbed after the call are not re-counted; their total is bounded by
-// the decoder's read-only text, which the image term already dominates.
+// memory image, the translated block cache and its shared tier-2
+// traces (executable code, plus the fragments of re-formed variants).
+// It is the accounting unit for
+// content-addressed snapshot caches with a byte budget. Blocks and
+// traces added after the call are not counted in its result; callers
+// that track residency re-read it.
 func (s *Snapshot) Footprint() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -279,6 +412,12 @@ func (s *Snapshot) Footprint() int64 {
 	}
 	for _, r := range s.sbs {
 		n += blockFootprint(r.b)
+	}
+	for b, t := range s.t2 {
+		n += int64(t.CodeBytes())
+		if r := s.sbs[b.uops[0].EIP]; r == nil || r.b != b {
+			n += blockFootprint(b) // a variant the absorbed set does not hold
+		}
 	}
 	return n
 }
@@ -301,7 +440,9 @@ type BlockExport struct {
 }
 
 // ExportBlocks captures the snapshot's current block cache (and its
-// absorbed superblocks) for import into a sibling snapshot.
+// absorbed superblocks) for import into a sibling snapshot. Shared
+// tier-2 traces stay behind: their code bakes in this snapshot's sandbox
+// geometry, so the importer compiles its own.
 func (s *Snapshot) ExportBlocks() BlockExport {
 	s.mu.Lock()
 	defer s.mu.Unlock()

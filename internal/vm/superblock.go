@@ -17,12 +17,14 @@ import (
 // flag record that died across a block edge is elided instead of kept
 // for a successor that clobbers it.
 //
-// Superblocks are per-VM, profile-driven state: they hang off the base
-// bref (never the snapshot-shared block map), are dropped wholesale by
-// Reset, and are torn down for re-formation when their guards fire on
-// most entries (the profile went stale). The base blocks they were
-// assembled from stay in the cache untouched — cold entries into the
-// middle of a trace still execute them directly.
+// Superblocks are profile-driven state: they hang off the per-VM base
+// bref, are dropped wholesale by Reset, and are torn down for
+// re-formation when their guards fire on most entries (the profile went
+// stale). The base blocks they were assembled from stay in the cache
+// untouched — cold entries into the middle of a trace still execute
+// them directly. A snapshot carries the ones AbsorbBlocks took, and a
+// formed fragment identical to one the snapshot shares is replaced by
+// the shared one, so its compiled trace is reused (snapshot.go).
 const (
 	// sbHotThreshold is how many times a block must be entered before
 	// its dominant path is re-translated.
@@ -249,12 +251,19 @@ func (v *VM) formSuperblock(entry *bref) {
 	guards, rets := sbNumberSlots(us)
 
 	sb := &block{uops: us, end: lastEnd, cost: cost}
+	// A superblock identical to one the snapshot already shares (the
+	// absorbed one, or a variant another VM re-formed) adopts the shared
+	// fragment and, if compiled, its trace.
+	sb, t := v.adoptSB(sb)
 	entry.sb = &bref{
 		b:        sb,
 		owner:    entry,
 		sbChains: make([]*bref, guards),
 		sbInd:    make([]sbIndEntry, rets),
 		sbTried:  true, // never form a superblock from a superblock
+		t2:       t,
+		t2Tried:  t != nil,
+		t2Shared: t != nil,
 	}
 	entry.sbForms++
 	v.stats.SuperblocksFormed++

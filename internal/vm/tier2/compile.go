@@ -3,19 +3,20 @@ package tier2
 import "vxa/internal/vm/uop"
 
 // Compile emits one optimized superblock trace as native machine code
-// bound to m: register operands become fixed displacements into
-// m.Regs, immediates and effective-address shapes become instruction
-// constants, and every exit site gets a static Exit descriptor. Returns
+// for m's sandbox geometry: register operands become fixed
+// displacements into the Machine's register file, immediates and
+// effective-address shapes become instruction constants, and every
+// exit site gets a static Exit descriptor. Returns
 // nil when the trace cannot be compiled — a reference-interpreter
 // escape (KindString/KindGeneric), a malformed trace, a micro-op the
 // emitter does not handle, no executable memory, or a platform without
 // an emitter (Available is false); the superblock then simply keeps
 // executing on the tier-1 dispatch loop.
 //
-// The sandbox geometry (m.Mem, m.MemLen, m.ROLimit, m.StackBase) is
-// baked in at compile time; it is fixed for the life of the guest
-// address space, and Reset — the only event that could change it —
-// drops every compiled trace with its bref.
+// The sandbox geometry (m.MemLen, m.ROLimit, m.StackBase) is baked in
+// at compile time; m.Mem's base and all guest state are read from the
+// Machine passed to each Run. The trace therefore serves any Machine
+// with the same geometry — every VM materialized from one snapshot.
 func Compile(us []uop.Uop, entry uint32, m *Machine) *Trace {
 	if i, _ := Unsupported(us); i >= 0 {
 		return nil

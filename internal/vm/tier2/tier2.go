@@ -1,7 +1,10 @@
 // Package tier2 is the VM's second execution tier: it compiles an
 // already-formed, already-optimized superblock trace (internal/vm's
-// superblock.go) into native amd64 machine code bound to one VM's own
-// machine state.
+// superblock.go) into native amd64 machine code. The code bakes in only
+// the sandbox geometry and reaches all guest state through the Machine
+// passed on each entry, so one compiled trace is immutable and may be
+// run by every VM with that geometry — the host VM shares it across all
+// VMs materialized from one decoder snapshot.
 //
 // Where the tier-1 engine re-dispatches a giant switch per micro-op —
 // re-loading operand fields and bounds-checking register indices every
@@ -19,11 +22,11 @@
 // flag-recording rules (base guards record on both paths, NF guards
 // only on exit), spare-field trap EIPs and started-instruction counts
 // for fused pairs, and the per-trace fuel charge with tail refunds
-// applied by the caller on early exits. Traps, guard exits,
-// serialization and Reset all demote cleanly to the tier-1 uop path —
-// the host VM rebuilds traces from persisted superblocks, never
-// serializing machine code. Platforms without the emitter (Available
-// is false) compile nothing and run tier 1.
+// applied by the caller on early exits. Traps and guard exits demote
+// cleanly to the tier-1 uop path, and machine code is never serialized:
+// the host VM rebuilds traces from persisted superblocks. Platforms
+// without the emitter (Available is false) compile nothing and run
+// tier 1.
 package tier2
 
 import "vxa/internal/vm/uop"
@@ -34,10 +37,11 @@ import "vxa/internal/vm/uop"
 const pageSize = 0x1000
 
 // Machine is the guest-state view a compiled trace executes against.
-// The owning VM copies its architectural state in before Run and back
-// out after; the sandbox geometry fields are set once per VM (the guest
-// memory slice never reallocates) except Brk, which moves with setperm
-// and is re-synced per entry.
+// Each VM owns one and copies its architectural state in before Run and
+// back out after; a trace holds no pointer to any Machine, so VMs with
+// the same sandbox geometry run the same trace. The geometry fields are
+// set once per VM (the guest memory slice never reallocates) except
+// Brk, which moves with setperm and is re-synced per entry.
 type Machine struct {
 	// Regs mirrors vm.VM.regs: eight architectural registers plus the
 	// always-zero uop.RegZero slot that absent base/index registers
@@ -129,7 +133,9 @@ type Exit struct {
 }
 
 // Trace is one compiled superblock: the machine code plus its static
-// exit table and accounting shape.
+// exit table and accounting shape. It is immutable once its owner has
+// set Cost, so many goroutines may Run it at once, each on its own
+// Machine.
 type Trace struct {
 	// head enters the emitted code. The code iterates loop-back edges
 	// internally, charging Fuel and Credit per iteration, and returns
@@ -152,6 +158,15 @@ type Trace struct {
 	// entry representation statically instead of dispatching on Fl.Op
 	// at run time; its loop back edge preserves the invariant itself.
 	NeedFlags bool
+}
+
+// CodeBytes reports the size of the trace's executable mapping, the
+// resident bytes it pins beyond its Go-heap exit table.
+func (t *Trace) CodeBytes() int {
+	if t.code == nil {
+		return 0
+	}
+	return len(t.code.buf)
 }
 
 // Run executes the trace until it exits. The caller must have checked

@@ -42,36 +42,66 @@ func t2HotThreshold() uint32 {
 	return t2HotDefault
 }
 
-// compileTier2 compiles sb's trace to native code bound to this VM's
-// machine view. One attempt per superblock: a bail (reference-engine
-// escapes or micro-ops the emitter does not handle, or a platform
-// without an emitter) leaves it on tier-1 for good.
-func (v *VM) compileTier2(sb *bref) {
-	sb.t2Tried = true
-	start := time.Now()
+// t2Machine returns the VM's tier-2 machine view, allocating it on first
+// use, with the sandbox geometry refreshed. The geometry is fixed for
+// the life of the guest address space; Mem's base is what every trace
+// entry loads, so it must be set before the first one.
+func (v *VM) t2Machine() *tier2.Machine {
 	m := v.t2m
 	if m == nil {
 		m = &tier2.Machine{}
 		v.t2m = m
 	}
-	// Refresh the geometry the compiler bakes in. Everything here is
-	// fixed for the life of the guest address space; any event that
-	// changes it (Reset, snapshot materialization) replaces the bref
-	// graph and with it every compiled trace.
 	m.Mem = v.mem
 	m.MemLen = uint32(len(v.mem))
 	m.ROLimit = v.roLimit
 	m.StackBase = v.stackBase
-	t := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, m)
+	return m
+}
+
+// compileTier2 gives the hot superblock sb its tier-2 trace. One
+// attempt per superblock: a bail (reference-engine escapes or micro-ops
+// the emitter does not handle, or a platform without an emitter) leaves
+// it on tier-1 for good. A VM materialized from a snapshot first takes
+// the snapshot's shared trace for the fragment, which a sibling may
+// have published since sb was formed; otherwise it compiles and
+// publishes its own, so later VMs install it instead of compiling.
+func (v *VM) compileTier2(sb *bref) {
+	sb.t2Tried = true
+	if _, t := v.adoptSB(sb.b); t != nil {
+		sb.t2, sb.t2Shared = t, true
+		return
+	}
+	start := time.Now()
+	t := tier2.Compile(sb.b.uops, sb.b.uops[0].EIP, v.t2Machine())
 	v.stats.TranslateNS += uint64(time.Since(start).Nanoseconds())
 	if t == nil {
 		return
 	}
 	// Charge fuel by the superblock's block cost, exactly as tier-1
-	// does (the per-uop costs the refund paths sum are identical).
+	// does (the per-uop costs the refund paths sum are identical). Set
+	// before publishing: a shared trace is immutable.
 	t.Cost = sb.b.cost
 	sb.t2 = t
 	v.stats.Tier2Compiled++
+	if s := v.snap; s != nil {
+		s.publishTrace(v, sb.b, t)
+	}
+}
+
+// adoptSB returns the fragment of v's snapshot identical to superblock
+// fragment b, or b itself, and that fragment's shared trace when v may
+// run it. A VM only captured into a snapshot may not have run tier 2
+// yet, so adopting a trace readies its machine view.
+func (v *VM) adoptSB(b *block) (*block, *tier2.Trace) {
+	if v.snap == nil {
+		return b, nil
+	}
+	b, t := v.snap.shareSB(v, b)
+	if t != nil {
+		v.t2Machine()
+	}
+	return b, t
 }
 
 // runTier2 executes sb's compiled trace until it exits, then re-joins
@@ -86,6 +116,10 @@ func (v *VM) runTier2(sb *bref, t *tier2.Trace) (*bref, error) {
 		// The native compiler pinned this trace's entry flag state to
 		// FlagNone; representation-only, so architecturally invisible.
 		v.materializeFlags()
+	}
+	if sb.t2Shared {
+		sb.t2Shared = false
+		v.stats.Tier2Reused++
 	}
 	m := v.t2m
 	m.Regs = v.regs

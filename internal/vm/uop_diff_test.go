@@ -935,7 +935,7 @@ func TestSuperblockSnapshotReset(t *testing.T) {
 // site, the final architectural state, the memory image — including
 // the per-block-boundary checkpoint trace — must agree exactly, over
 // 10k+ steps per seed.
-func TestDiffSoakMultiBlock(t *testing.T) { runDiffSoakMultiBlock(t) }
+func TestDiffSoakMultiBlock(t *testing.T) { runDiffSoakMultiBlock(t, false) }
 
 // TestDiffSoakTier2Forced reruns the multi-block soak with the tier-2
 // engine forced to both extremes: every superblock promoted to the
@@ -943,14 +943,19 @@ func TestDiffSoakMultiBlock(t *testing.T) { runDiffSoakMultiBlock(t) }
 // exactness assertions — trap EIP, steps==fuel accounting, registers,
 // flags, memory image — must hold identically in both,
 // which is the wall that keeps compiled traces architecturally
-// indistinguishable from the dispatch loop.
+// indistinguishable from the dispatch loop. The hot-shared leg runs the
+// uop engine on a VM materialized from a snapshot after a sibling VM
+// ran the same program and had its superblocks and traces absorbed, so
+// the VM under test starts on traces it did not compile.
 func TestDiffSoakTier2Forced(t *testing.T) {
 	legs := []struct {
-		name string
-		env  map[string]string
+		name   string
+		env    map[string]string
+		shared bool
 	}{
-		{"hot-native", map[string]string{"VXA_TIER2_HOT": "1"}},
-		{"off", map[string]string{"VXA_NO_TIER2": "1"}},
+		{"hot-native", map[string]string{"VXA_TIER2_HOT": "1"}, false},
+		{"hot-shared", map[string]string{"VXA_TIER2_HOT": "1"}, true},
+		{"off", map[string]string{"VXA_NO_TIER2": "1"}, false},
 	}
 	for _, leg := range legs {
 		leg := leg
@@ -959,7 +964,7 @@ func TestDiffSoakTier2Forced(t *testing.T) {
 			for k, v := range leg.env {
 				t.Setenv(k, v)
 			}
-			runDiffSoakMultiBlock(t)
+			runDiffSoakMultiBlock(t, leg.shared)
 		})
 	}
 }
@@ -974,7 +979,48 @@ func skipHotWithoutJIT(t *testing.T, env map[string]string) {
 	}
 }
 
-func runDiffSoakMultiBlock(t *testing.T) {
+// soakSharedVM returns a VM for the soak program materialized from a
+// snapshot whose code window is read-only, after a sibling VM seeded
+// like ref ran the program to its exit trap and was absorbed — so the
+// returned VM starts on the sibling's superblocks and shared traces. Its
+// registers and flags are copied from ref, which must not have run yet.
+func soakSharedVM(t *testing.T, image []byte, ref *VM) *VM {
+	t.Helper()
+	v, err := New(Config{MemSize: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro := uint32(soakTable - soakCode) // code only; table, data and trace stay writable
+	if err := v.MapSegment(soakCode, image[:ro], ro, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.MapSegment(soakTable, image[ro:], soakSpan-ro, false); err != nil {
+		t.Fatal(err)
+	}
+	snap := v.Snapshot()
+	seed := func(v *VM) {
+		v.regs, v.eip = ref.regs, soakBlockAddr(0)
+		v.cf, v.zf, v.sf, v.of, v.pf = ref.cf, ref.zf, ref.sf, ref.of, ref.pf
+	}
+	sib := snap.NewVM()
+	seed(sib)
+	br, err := sib.lookupBlock(sib.eip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, ok := sib.execUops(br).(*Trap); !ok || tr.EIP != soakExit {
+		t.Fatalf("sibling did not reach the exit trap: %v", tr)
+	}
+	snap.AbsorbBlocks(sib)
+	if n := sib.Stats().Tier2Compiled; n > 0 && snap.TraceCount() == 0 {
+		t.Fatalf("sibling compiled %d traces but published none", n)
+	}
+	v = snap.NewVM()
+	seed(v)
+	return v
+}
+
+func runDiffSoakMultiBlock(t *testing.T, shared bool) {
 	seeds := []int64{101, 202, 303, 404, 505, 606}
 	if testing.Short() {
 		seeds = seeds[:2]
@@ -988,6 +1034,10 @@ func runDiffSoakMultiBlock(t *testing.T) {
 			v1 := soakVM(t, image) // uop engine
 			v2 := soakVM(t, image) // reference engine
 			soakSeedRegs(rng, v1, v2)
+			if shared {
+				v1 = soakSharedVM(t, image, v2)
+			}
+			fuel0 := v1.fuel
 
 			v1.eip, v2.eip = soakBlockAddr(0), soakBlockAddr(0)
 			br, err := v1.lookupBlock(v1.eip)
@@ -1019,6 +1069,12 @@ func runDiffSoakMultiBlock(t *testing.T) {
 			// it, hence the +1.
 			if steps := v1.Stats().Steps; steps != uint64(refSteps)+1 {
 				t.Errorf("steps accounting diverged: %d (uop) vs %d+1 (ref)", steps, refSteps)
+			}
+			if used := fuel0 - v1.fuel; used != int64(refSteps)+1 {
+				t.Errorf("fuel accounting diverged: %d charged (uop) vs %d+1 (ref)", used, refSteps)
+			}
+			if shared && v1.snap.TraceCount() > 0 && v1.Stats().Tier2Reused == 0 {
+				t.Errorf("VM under test ran no shared trace (%d compiled itself)", v1.Stats().Tier2Compiled)
 			}
 			// When the forced-hot wall is running, the comparison above
 			// must actually have covered compiled traces — a soak that

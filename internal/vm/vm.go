@@ -190,6 +190,7 @@ type Stats struct {
 	Tier2Executed     uint64 `json:"tier2_executed"`     // tier-2 trace iterations run (one full superblock pass each)
 	Tier2Steps        uint64 `json:"tier2_steps"`        // guest instructions retired inside tier-2 traces (subset of Steps)
 	Tier2Demotions    uint64 `json:"tier2_demotions"`    // compiled traces dropped with their superblock (stale profile teardown)
+	Tier2Reused       uint64 `json:"tier2_reused"`       // shared traces run from the snapshot without compiling (first run per install)
 	TranslateNS       uint64 `json:"translate_ns"`       // nanoseconds spent decoding+lowering fragments (0 with NoBlockCache)
 	ExecuteNS         uint64 `json:"execute_ns"`         // nanoseconds spent running translated code (Run wall time minus translation)
 	Syscalls          uint64 `json:"syscalls"`
@@ -241,11 +242,16 @@ type VM struct {
 	// compilation (t2HotDefault, overridable via VXA_TIER2_HOT).
 	t2Hot uint32
 	// t2m is this VM's tier-2 machine-state view, allocated on first
-	// compile and reused for every compile and run: traces bake its
-	// sandbox geometry in at compile time (see tier2.Machine).
+	// compile or shared-trace install and reused for every run: traces
+	// bake its sandbox geometry in at compile time and read everything
+	// else through it (see tier2.Machine).
 	t2m    *tier2.Machine
 	optCfg uop.OptConfig
 	blocks map[uint32]*bref
+	// snap is the snapshot the VM was last captured into or
+	// materialized from (nil until then): the one whose shared traces
+	// it adopts and to which compileTier2 publishes its own.
+	snap *Snapshot
 
 	// Cooperative cancellation (RunContext). cancel is the context's
 	// done channel, nil when the run is uncancellable — the common case,
@@ -282,7 +288,8 @@ type VM struct {
 // lowered, optimized micro-op form. Blocks are immutable after
 // construction and may be shared by many VMs through a Snapshot.
 // Superblocks (superblock.go) reuse the same type with insts/addrs nil:
-// they are per-VM and never enter the snapshot-shared cache.
+// they are formed per VM and enter a snapshot through AbsorbBlocks, or
+// as a variant that carries a shared tier-2 trace (snapshot.go).
 type block struct {
 	insts []x86.Inst
 	addrs []uint32  // eip of each instruction
@@ -323,14 +330,21 @@ type bref struct {
 	sbTried   bool
 
 	// Tier-2 dispatch slot (superblock brefs only): the native-code
-	// trace for this superblock, installed once its entry count crosses
-	// the tier-2 heat threshold. On a superblock bref, heat counts
-	// entries toward that promotion. The trace dies with the bref —
-	// Reset, snapshot materialization and profile teardown all demote to
-	// tier-1 by construction — and is never serialized; it is recompiled
-	// from the persisted superblock when the trace runs hot again.
+	// trace for this superblock, compiled once its entry count crosses
+	// the tier-2 heat threshold — or installed without compiling when
+	// the VM's snapshot holds the shared trace of this fragment, at
+	// materialization for an absorbed superblock and at formation for
+	// an identical one. On a superblock bref, heat counts entries toward
+	// promotion. The trace itself is immutable and may be shared; only
+	// this slot is per VM. Stale-profile teardown drops the slot with
+	// the bref, Reset swaps in fresh wrappers that re-install the
+	// snapshot's shared traces, and traces are never serialized — a
+	// deserialized snapshot recompiles from its persisted superblocks.
 	t2      *tier2.Trace
 	t2Tried bool
+	// t2Shared marks a shared trace this bref installed and has not run
+	// yet; the first run counts it in Tier2Reused.
+	t2Shared bool
 }
 
 // sbIndEntry is one return guard's monomorphic inline cache: the last

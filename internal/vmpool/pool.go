@@ -453,6 +453,7 @@ func addVMStats(dst *vm.Stats, after, before vm.Stats) {
 	dst.Tier2Executed += after.Tier2Executed - before.Tier2Executed
 	dst.Tier2Steps += after.Tier2Steps - before.Tier2Steps
 	dst.Tier2Demotions += after.Tier2Demotions - before.Tier2Demotions
+	dst.Tier2Reused += after.Tier2Reused - before.Tier2Reused
 	dst.TranslateNS += after.TranslateNS - before.TranslateNS
 	dst.ExecuteNS += after.ExecuteNS - before.ExecuteNS
 	dst.Syscalls += after.Syscalls - before.Syscalls
